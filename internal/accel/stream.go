@@ -50,9 +50,6 @@ type StreamTicket struct {
 // Done reports whether the batch has completed (or failed).
 func (t *StreamTicket) Done() bool { return t.done.Fired() }
 
-// DoneAt returns the completion time; only meaningful once Done reports true.
-func (t *StreamTicket) DoneAt() sim.Time { return t.doneAt }
-
 // Start returns the submission time.
 func (t *StreamTicket) Start() sim.Time { return t.start }
 

@@ -168,13 +168,6 @@ func (c *Config) defaults() {
 		if c.Tenants[i].MeanGapCycles <= 0 {
 			c.Tenants[i].MeanGapCycles = 50_000
 		}
-		if c.Tenants[i].MaxWaitCycles <= 0 {
-			if c.Tenants[i].SLOCycles > 0 {
-				c.Tenants[i].MaxWaitCycles = c.Tenants[i].SLOCycles / 4
-			} else {
-				c.Tenants[i].MaxWaitCycles = 100_000
-			}
-		}
 	}
 }
 
@@ -272,24 +265,26 @@ func (r *Report) String() string {
 }
 
 // tenantState is one tenant's live serving state: its brought-up machine,
-// partition, admission queue, drift detector, fault tracker and counters.
+// partition, batching core, drift detector, fault tracker and counters.
 type tenantState struct {
 	idx   int
 	ten   Tenant
 	setup *core.Setup
 	det   *serve.DriftDetector
+	// b is the tenant's batching core: admission queue, batch formation and
+	// outcome classification, recording into out (copied into rep when the
+	// streams drain).
+	b   *serve.Batcher
+	out serve.Report
 	// health tracks the global fault schedule on this tenant's clock
 	// (faults.State.At is a pure function of time, so per-tenant instances
 	// stay consistent).
 	health *faults.State
 
-	src  serve.Source
-	next serve.Request
-	more bool
-
-	queue         []serve.Request
-	queuedSamples int
-	drained       bool
+	src     serve.Source
+	next    serve.Request
+	more    bool
+	drained bool
 
 	// owned is the tenant's tile partition; ownFailed its complement (the
 	// mask baked into the tenant's machine). Both empty under time-slicing:
@@ -320,26 +315,6 @@ type tenantState struct {
 }
 
 func (ts *tenantState) clock() int64 { return int64(ts.setup.M.Now()) }
-
-func (ts *tenantState) popHead() serve.Request {
-	req := ts.queue[0]
-	ts.queue = ts.queue[1:]
-	ts.queuedSamples -= req.Samples
-	return req
-}
-
-func (ts *tenantState) record(res serve.RequestResult) {
-	ts.rep.Requests++
-	switch res.Outcome {
-	case serve.Served:
-		ts.rep.Served++
-	case serve.DeadlineMissed:
-		ts.rep.Missed++
-	case serve.Shed:
-		ts.rep.Shed++
-	}
-	ts.rep.Outcomes = append(ts.rep.Outcomes, res)
-}
 
 // Server is the multi-tenant front-end: one brought-up machine per tenant
 // over disjoint partitions of the same chip, plus the cross-tenant
@@ -509,6 +484,12 @@ func (s *Server) bringupTenant(i int, t Tenant, count int, assign []hw.TileMask)
 		}
 	}
 	ts.det = serve.NewDriftDetector(setup.W.Graph, setup.M.Profiler())
+	ts.b = serve.NewBatcher(setup, &ts.out, serve.Config{
+		MaxBatch:        s.cfg.MaxBatch,
+		QueueCapSamples: s.cfg.QueueCapSamples,
+		SLOCycles:       t.SLOCycles,
+		MaxWaitCycles:   t.MaxWaitCycles,
+	})
 	if !s.cfg.Faults.Empty() {
 		ts.health = faults.NewState(s.cfg.Faults)
 	}
@@ -577,6 +558,9 @@ func (s *Server) report() *Report {
 	lats := make([][]float64, len(s.tens))
 	for i, ts := range s.tens {
 		ts.rep.Tiles = ts.tiles
+		out := &ts.out
+		ts.rep.Requests, ts.rep.Served, ts.rep.Missed, ts.rep.Shed = out.Requests, out.Served, out.Missed, out.Shed
+		ts.rep.Batches, ts.rep.Outcomes = out.Batches, out.Outcomes
 		for _, o := range ts.rep.Outcomes {
 			if o.Outcome != serve.Shed {
 				lats[i] = append(lats[i], float64(o.Latency()))
@@ -639,15 +623,15 @@ func spatialBefore(a, b *tenantState) bool {
 }
 
 // stepSpatial advances one tenant by one event: admit arrivals, idle toward
-// the next arrival or wait deadline, or fire a batch — the same dual batching
-// policy as the single-tenant server, per partition.
+// the next arrival or wait deadline, or fire a batch — the tenant's Batcher
+// decides when a batch is due, per partition.
 func (s *Server) stepSpatial(ts *tenantState) error {
 	now := ts.clock()
 	if err := s.applyTenantFaults(ts, now); err != nil {
 		return err
 	}
 	s.admitUpTo(ts, now)
-	if len(ts.queue) == 0 {
+	if ts.b.Len() == 0 {
 		if !ts.more {
 			s.drainTenant(ts)
 			return nil
@@ -655,9 +639,8 @@ func (s *Server) stepSpatial(ts *tenantState) error {
 		s.idleTenantTo(ts, ts.next.Arrival)
 		return nil
 	}
-	fireAt := ts.queue[0].Arrival + ts.ten.MaxWaitCycles
-	full := ts.queuedSamples >= s.cfg.MaxBatch || ts.queue[0].Routing != nil
-	if !full && now < fireAt {
+	if !ts.b.Ready(now) {
+		fireAt := ts.b.WaitDeadline()
 		if ts.more && ts.next.Arrival < fireAt {
 			s.idleTenantTo(ts, ts.next.Arrival)
 			return nil
@@ -685,7 +668,7 @@ func (s *Server) runTimeSlice() error {
 				continue
 			}
 			s.admitUpTo(ts, now)
-			if len(ts.queue) == 0 && !ts.more {
+			if ts.b.Len() == 0 && !ts.more {
 				if now > int64(ts.setup.M.Now()) {
 					ts.setup.M.AdvanceTo(sim.Time(now))
 				}
@@ -699,12 +682,7 @@ func (s *Server) runTimeSlice() error {
 		}
 		var pick *tenantState
 		for _, ts := range s.tens {
-			if ts.drained || len(ts.queue) == 0 {
-				continue
-			}
-			fireAt := ts.queue[0].Arrival + ts.ten.MaxWaitCycles
-			full := ts.queuedSamples >= s.cfg.MaxBatch || ts.queue[0].Routing != nil
-			if !full && now < fireAt {
+			if ts.drained || !ts.b.Ready(now) {
 				continue
 			}
 			if pick == nil || slicePrefer(ts, pick) {
@@ -758,10 +736,10 @@ func slicePrefer(a, b *tenantState) bool {
 // headDeadline is the urgency key of a tenant's oldest queued request: its
 // SLO deadline, or its queue-wait deadline without an SLO.
 func headDeadline(ts *tenantState) int64 {
-	if ts.ten.SLOCycles > 0 {
-		return ts.queue[0].Arrival + ts.ten.SLOCycles
+	if ts.b.SLOCycles > 0 {
+		return ts.b.Head().Arrival + ts.b.SLOCycles
 	}
-	return ts.queue[0].Arrival + ts.ten.MaxWaitCycles
+	return ts.b.WaitDeadline()
 }
 
 // nextSliceEvent finds the earliest future wait deadline, arrival or fault
@@ -777,8 +755,8 @@ func (s *Server) nextSliceEvent(now int64) (int64, bool) {
 		if ts.drained {
 			continue
 		}
-		if len(ts.queue) > 0 {
-			consider(ts.queue[0].Arrival + ts.ten.MaxWaitCycles)
+		if ts.b.Len() > 0 {
+			consider(ts.b.WaitDeadline())
 		}
 		if ts.more {
 			consider(ts.next.Arrival)
@@ -796,32 +774,8 @@ func (s *Server) nextSliceEvent(now int64) (int64, bool) {
 // bounded queue, shedding past capacity.
 func (s *Server) admitUpTo(ts *tenantState, now int64) {
 	for ts.more && ts.next.Arrival <= now {
-		s.admit(ts, ts.next)
+		ts.b.Admit(ts.next)
 		ts.next, ts.more = ts.src.Next()
-	}
-}
-
-func (s *Server) admit(ts *tenantState, req serve.Request) {
-	if req.Samples <= 0 {
-		req.Samples = 1
-		if req.Routing != nil {
-			if ups := ts.setup.W.Graph.UnitsPerSample; ups > 0 && req.Units > ups {
-				req.Samples = req.Units / ups
-			}
-		}
-	}
-	if ts.queuedSamples+req.Samples > s.cfg.QueueCapSamples {
-		ts.record(serve.RequestResult{ID: req.ID, Arrival: req.Arrival, Outcome: serve.Shed})
-		if ts.rec.Enabled() {
-			ts.rec.Instant(ts.serveTrack, "serve", "shed", ts.clock(),
-				telemetry.I("request", int64(req.ID)), telemetry.S("reason", "queue-full"))
-		}
-		return
-	}
-	ts.queue = append(ts.queue, req)
-	ts.queuedSamples += req.Samples
-	if ts.rec.Enabled() {
-		ts.rec.Counter(ts.serveTrack, "serve", "queue_depth", ts.clock(), int64(ts.queuedSamples))
 	}
 }
 
@@ -915,72 +869,16 @@ func (s *Server) applyTenantFaults(ts *tenantState, now int64) error {
 // fireBatch forms one batch at the tenant's queue head, executes it on the
 // tenant's machine, records outcomes, and gives the controller its hook.
 func (s *Server) fireBatch(ts *tenantState, now int64) error {
-	for len(ts.queue) > 0 && ts.ten.SLOCycles > 0 && ts.queue[0].Arrival+ts.ten.SLOCycles <= now {
-		req := ts.popHead()
-		ts.record(serve.RequestResult{ID: req.ID, Arrival: req.Arrival, Outcome: serve.Shed})
-		if ts.rec.Enabled() {
-			ts.rec.Instant(ts.serveTrack, "serve", "shed", now,
-				telemetry.I("request", int64(req.ID)), telemetry.S("reason", "slo-expired"))
-		}
-	}
-	if len(ts.queue) == 0 {
+	b, ok := ts.b.Form(now)
+	if !ok {
 		return nil
 	}
-	headWait := now - ts.queue[0].Arrival
-	w := ts.setup.W
-	var batch []serve.Request
-	var b workload.Batch
-	samples := 0
-	if ts.queue[0].Routing != nil {
-		req := ts.popHead()
-		batch = []serve.Request{req}
-		samples = req.Samples
-		b = workload.Batch{Index: ts.rep.Batches, Units: req.Units, Routing: req.Routing, Density: req.Density}
-	} else {
-		for len(ts.queue) > 0 && ts.queue[0].Routing == nil {
-			if len(batch) > 0 && samples+ts.queue[0].Samples > s.cfg.MaxBatch {
-				break
-			}
-			req := ts.popHead()
-			samples += req.Samples
-			batch = append(batch, req)
-		}
-		units := samples * w.Graph.UnitsPerSample
-		b = workload.Batch{Index: ts.rep.Batches, Units: units, Routing: w.Gen.Next(ts.setup.Src, units)}
-		// Like the single-tenant server, the batch's density dyn-value is
-		// drawn at formation time from the tenant's own generator state.
-		if dg, ok := w.Gen.(workload.DensityGen); ok {
-			b.Density = dg.NextDensity(ts.setup.Src)
-		}
-	}
-	m := ts.setup.M
-	start := ts.clock()
-	if err := m.Run([]workload.Batch{b}); err != nil {
+	if err := ts.setup.M.Run([]workload.Batch{b}); err != nil {
 		return err
 	}
 	done := ts.clock()
-	ts.winBusy += done - start
-	ts.winSamples += samples
-	for _, req := range batch {
-		out := serve.Served
-		if ts.ten.SLOCycles > 0 && done > req.Arrival+ts.ten.SLOCycles {
-			out = serve.DeadlineMissed
-			if ts.rec.Enabled() {
-				ts.rec.Instant(ts.serveTrack, "serve", "deadline-miss", done,
-					telemetry.I("request", int64(req.ID)),
-					telemetry.I("late", done-req.Arrival-ts.ten.SLOCycles))
-			}
-		}
-		ts.record(serve.RequestResult{ID: req.ID, Arrival: req.Arrival, Done: done, Outcome: out})
-	}
-	if ts.rec.Enabled() {
-		ts.rec.Span(ts.serveTrack, "serve", "batch", now, done,
-			telemetry.I("requests", int64(len(batch))),
-			telemetry.I("units", int64(b.Units)),
-			telemetry.I("queue_wait", headWait))
-		ts.rec.Counter(ts.serveTrack, "serve", "queue_depth", done, int64(ts.queuedSamples))
-	}
-	ts.rep.Batches++
+	ts.winBusy += done - now
+	ts.winSamples += ts.b.Complete(now, done)
 	s.fired++
 	s.sinceRepart++
 	if s.cfg.Mode == ModeRepartition {

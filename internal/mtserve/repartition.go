@@ -68,7 +68,7 @@ func (s *Server) triggerStats() (maxDiv, spread float64) {
 		if d := ts.det.Divergence(); d > maxDiv {
 			maxDiv = d
 		}
-		p := float64(ts.queuedSamples) / float64(s.cfg.QueueCapSamples)
+		p := float64(ts.b.QueuedSamples()) / float64(s.cfg.QueueCapSamples)
 		if p < minP {
 			minP = p
 		}
@@ -331,7 +331,7 @@ func (s *Server) tenantDemand(ts *tenantState) float64 {
 		}
 		ts.demandEst = 0.5*ts.demandEst + 0.5*util*float64(ts.tiles)
 	}
-	pressure := float64(ts.queuedSamples) / float64(s.cfg.QueueCapSamples)
+	pressure := float64(ts.b.QueuedSamples()) / float64(s.cfg.QueueCapSamples)
 	return ts.demandEst * (1 + pressure)
 }
 

@@ -7,41 +7,14 @@ import (
 	"repro/internal/profiler"
 )
 
-// DriftDetector is the exported form of the server's drift detector, for
-// serving layers that run their own loop over a brought-up machine (the
-// multi-tenant front-end in internal/mtserve). It carries exactly the
-// statistic the single-tenant re-scheduler triggers on.
-type DriftDetector struct{ d *detector }
-
-// NewDriftDetector snapshots the profiler's current per-branch statistics as
-// the drift reference (call right after the plan built from that profile is
-// installed).
-func NewDriftDetector(g *graph.Graph, prof *profiler.Profiler) *DriftDetector {
-	return &DriftDetector{d: newDetector(g, prof)}
-}
-
-// Rebase re-snapshots the live profile as the new reference.
-func (dd *DriftDetector) Rebase() { dd.d.Rebase() }
-
-// Divergence returns the live profile's drift since the last Rebase: the
-// mean absolute per-branch difference, maxed over the unit-share and
-// active-fraction statistics.
-func (dd *DriftDetector) Divergence() float64 { return dd.d.Divergence() }
-
-// Parts returns the three drift statistics separately (volume, presence,
-// density). The density part is always 0 for graphs without density-aware
-// operators.
-func (dd *DriftDetector) Parts() (share, active, density float64) {
-	return dd.d.divergenceParts()
-}
-
-// detector watches the on-chip profiler for distribution drift relative to
-// the profile the current plan was scheduled from. It snapshots two
+// DriftDetector watches the on-chip profiler for distribution drift relative
+// to the profile the current plan was scheduled from. It snapshots two
 // per-branch statistics at plan time — the unit share (the volume statistic
 // frequency-weighted allocation is built from) and the batch-active fraction
 // (what tile sharing and branch grouping key on) — and reports how far the
-// live profile has moved from that snapshot.
-type detector struct {
+// live profile has moved from that snapshot. The single-tenant re-scheduler
+// and the multi-tenant controller trigger on the same statistic.
+type DriftDetector struct {
 	prof *profiler.Profiler
 	sws  []graph.OpID
 	nb   []int
@@ -57,8 +30,10 @@ type detector struct {
 	baseDensity float64
 }
 
-func newDetector(g *graph.Graph, prof *profiler.Profiler) *detector {
-	d := &detector{prof: prof, sws: g.Switches(), hasDensity: len(g.DensityOps()) > 0}
+// NewDriftDetector snapshots the profiler's current statistics as the drift
+// reference (call right after the plan built from that profile is installed).
+func NewDriftDetector(g *graph.Graph, prof *profiler.Profiler) *DriftDetector {
+	d := &DriftDetector{prof: prof, sws: g.Switches(), hasDensity: len(g.DensityOps()) > 0}
 	d.nb = make([]int, len(d.sws))
 	d.baseShare = make([][]float64, len(d.sws))
 	d.baseActive = make([][]float64, len(d.sws))
@@ -73,7 +48,7 @@ func newDetector(g *graph.Graph, prof *profiler.Profiler) *detector {
 
 // Rebase snapshots the current profile as the new reference — called right
 // after a plan computed from that profile is installed.
-func (d *detector) Rebase() {
+func (d *DriftDetector) Rebase() {
 	for i, sw := range d.sws {
 		for k := 0; k < d.nb[i]; k++ {
 			d.baseShare[i][k] = d.prof.BranchUnitShare(sw, k)
@@ -86,29 +61,19 @@ func (d *detector) Rebase() {
 }
 
 // Divergence returns the drift of the live profile since the last Rebase:
-// the mean absolute per-branch difference, computed separately for unit
-// shares, active fractions and (on density-aware graphs) the windowed density
-// mean, maxed over the statistics. 0 for static graphs.
-func (d *detector) Divergence() float64 {
-	_, _, _, div := d.evaluate()
+// the largest of the statistics Evaluate returns. 0 for static graphs.
+func (d *DriftDetector) Divergence() float64 {
+	_, _, _, div := d.Evaluate()
 	return div
 }
 
-// evaluate computes one drift check: every drift statistic plus their max —
-// the single place the statistics are combined, shared by the trigger
-// decision, the telemetry drift-eval instant, and Divergence.
-func (d *detector) evaluate() (share, active, density, div float64) {
-	share, active, density = d.divergenceParts()
-	return share, active, density, math.Max(math.Max(share, active), density)
-}
-
-// divergenceParts returns the drift statistics separately: the mean absolute
-// unit-share difference (volume), the mean absolute active-fraction
-// difference (presence), and the absolute density-mean difference (sparsity;
-// 0 for graphs without density-aware operators). Divergence maxes over them;
-// the telemetry drift-eval events record all three, so a trace shows which
-// statistic triggered (or failed to trigger) a re-plan.
-func (d *detector) divergenceParts() (share, active, density float64) {
+// Evaluate computes one drift check: the mean absolute unit-share difference
+// (volume), the mean absolute active-fraction difference (presence), the
+// absolute density-mean difference (sparsity; 0 for graphs without
+// density-aware operators), and their max, div. The telemetry drift-eval
+// events record every part, so a trace shows which statistic triggered (or
+// failed to trigger) a re-plan.
+func (d *DriftDetector) Evaluate() (share, active, density, div float64) {
 	n := 0
 	for i, sw := range d.sws {
 		for k := 0; k < d.nb[i]; k++ {
@@ -117,11 +82,12 @@ func (d *detector) divergenceParts() (share, active, density float64) {
 			n++
 		}
 	}
+	if n > 0 {
+		share /= float64(n)
+		active /= float64(n)
+	}
 	if d.hasDensity {
 		density = math.Abs(d.prof.OpDensityMean() - d.baseDensity)
 	}
-	if n == 0 {
-		return 0, 0, density
-	}
-	return share / float64(n), active / float64(n), density
+	return share, active, density, math.Max(math.Max(share, active), density)
 }

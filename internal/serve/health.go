@@ -39,10 +39,10 @@ func (s *Server) applyFaults(now int64) error {
 		return nil
 	}
 	s.rep.FaultEvents++
-	// Capability changes apply between batches: the pipelined loop first
-	// retires its in-flight batches — they were submitted under the old
-	// capability and complete under it, exactly like the legacy loop's batch
-	// running across a fault boundary — before the hardware changes.
+	// Capability changes apply between batches: in-flight batches retire
+	// first — they were submitted under the old capability and complete under
+	// it, exactly like a blocking batch running across a fault boundary —
+	// before the hardware changes.
 	if err := s.drainInflight(false); err != nil {
 		return err
 	}
@@ -81,14 +81,15 @@ func (s *Server) healthReschedule() error {
 
 // idleTo advances the machine clock to t, stopping early at the next fault
 // boundary (strike or repair) so capability changes are observed at their
-// scheduled time even across long idle gaps.
+// scheduled time even across long idle gaps. Batches in flight on the stream
+// window make exactly the progress the interval allows.
 func (s *Server) idleTo(t int64) {
 	if s.health != nil {
 		if nc, ok := s.health.NextChange(int64(s.setup.M.Now())); ok && nc < t {
 			t = nc
 		}
 	}
-	s.setup.M.AdvanceTo(sim.Time(t))
+	s.setup.M.StepTo(sim.Time(t))
 }
 
 // healthState builds the fault tracker for a config (nil when no faults are

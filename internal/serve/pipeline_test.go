@@ -8,8 +8,10 @@ import (
 	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/models"
 	"repro/internal/sim/simtest"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // serveArtifacts runs one serving scenario end to end and captures the full
@@ -184,4 +186,60 @@ func TestPipelineDrainsAtReplanAndFaultBoundaries(t *testing.T) {
 	a := serveArtifacts(t, mk(), src(), false)
 	b := serveArtifacts(t, mk(), src(), false)
 	simtest.Diff(t, "pipelined fault+drift repeat", a, b)
+}
+
+// TestPipelinedBatchesCarryDensity pins batch formation to one density rule
+// at every pipeline depth: drawn from the generator for a formed batch,
+// carried verbatim by a replayed request. With every batch density forced to
+// 0.2 the profiler's density mean must not depend on the depth, and a
+// replayed gcn trace must reach the machine with its recorded densities
+// (same useful MACs and density mean at depth 4 as at depth 1).
+func TestPipelinedBatchesCarryDensity(t *testing.T) {
+	serveGCN := func(depth int, wrap bool, src Source) *Server {
+		cfg := burstConfig("gcn", depth)
+		if wrap {
+			cfg.RC.WrapGen = func(g workload.TraceGen) workload.TraceGen {
+				fd, err := workload.NewFixedDensities(g, []float64{0.2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fd
+			}
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, err := s.Serve(src); err != nil {
+			t.Fatalf("Serve(depth=%d): %v", depth, err)
+		}
+		return s
+	}
+	densityMean := func(s *Server) float64 { return s.Setup().M.Profiler().OpDensityMean() }
+
+	forced := func() Source { return NewSynthetic(120, 15_000, 3, nil) }
+	one, four := serveGCN(1, true, forced()), serveGCN(4, true, forced())
+	if d1, d4 := densityMean(one), densityMean(four); d1 != d4 || d1 > 0.21 {
+		t.Fatalf("forced density 0.2: profiler density mean %.4f at depth 1, %.4f at depth 4", d1, d4)
+	}
+
+	w, err := models.ByName("gcn", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := workload.Record("gcn", 16, 5, w.GenTrace(workload.NewSource(5), 12, 16))
+	replay := func() Source {
+		src, err := NewReplay(rec, 20_000, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	one, four = serveGCN(1, false, replay()), serveGCN(4, false, replay())
+	u1 := one.Snapshot().Counters["machine_useful_macs"]
+	u4 := four.Snapshot().Counters["machine_useful_macs"]
+	if u1 != u4 || densityMean(one) != densityMean(four) {
+		t.Fatalf("replayed densities lost at depth 4: useful MACs %d vs %d, density mean %.4f vs %.4f",
+			u1, u4, densityMean(one), densityMean(four))
+	}
 }

@@ -19,6 +19,7 @@ package serve
 import (
 	"fmt"
 
+	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -26,7 +27,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // Outcome is a request's terminal state.
@@ -126,9 +126,9 @@ type Config struct {
 	// PipelineDepth enables batch-pipelined serving (see pipeline.go): up to
 	// this many batches execute concurrently on the machine, batch k+1's
 	// admission and formation overlapping batch k's compute in virtual time.
-	// Values <= 1 (the default) keep the legacy blocking loop, bit-for-bit.
-	// Pipelined serving is a semantic variant — batch start times and
-	// latencies differ from the legacy loop — with the same determinism
+	// Values <= 1 (the default) run each batch to completion before the next
+	// one forms. Pipelined serving is a semantic variant — batch start times
+	// and latencies differ — with the same batching policy and determinism
 	// guarantee: byte-identical outcomes at any GOMAXPROCS.
 	PipelineDepth int
 	// HostReschedCycles charges the host-side solve latency of a re-plan
@@ -295,16 +295,15 @@ func (r *Report) String() string {
 type Server struct {
 	cfg    Config
 	setup  *core.Setup
-	det    *detector
+	det    *DriftDetector
 	health *faults.State    // nil without a fault schedule
 	pcache *plancache.Cache // nil with the plan cache disabled
 
-	queue         []Request
-	queuedSamples int
-	pending       []Request    // enqueued by a fleet router, not yet admitted
-	inflight      []*pipeEntry // submitted, unretired batches (pipelined mode only)
-	rep           *Report
-	sinceResched  int
+	b            *Batcher
+	pending      []Request             // enqueued by a fleet router, not yet admitted
+	inflight     []*accel.StreamTicket // submitted, unretired batches (PipelineDepth > 1)
+	rep          *Report
+	sinceResched int
 
 	// keyer and planKey support plan-affinity routing: planKey is the
 	// quantized branch-share snapshot of the profile the current plan was
@@ -313,11 +312,9 @@ type Server struct {
 	planKey plancache.ProfileKey
 
 	// rec is the telemetry recorder shared with the machine (nil when
-	// Config.RC.Trace was nil): the serving loop adds batch spans, shed and
-	// deadline-miss instants, queue-depth counter samples, drift-detector
-	// evaluations and fault events on its own tracks.
+	// Config.RC.Trace was nil): the batcher traces the "serve" track; the
+	// server adds drift-detector evaluations and fault events on its own.
 	rec        *telemetry.Recorder
-	serveTrack telemetry.TrackID
 	driftTrack telemetry.TrackID
 	faultTrack telemetry.TrackID
 }
@@ -336,12 +333,12 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		setup:  setup,
-		det:    newDetector(setup.W.Graph, setup.M.Profiler()),
+		det:    NewDriftDetector(setup.W.Graph, setup.M.Profiler()),
 		health: healthState(cfg.Faults),
+		b:      NewBatcher(setup, nil, cfg),
 		rec:    setup.Rec,
 	}
 	if s.rec.Enabled() {
-		s.serveTrack = s.rec.Track("serve")
 		s.driftTrack = s.rec.Track("drift")
 		if s.health != nil {
 			s.faultTrack = s.rec.Track("faults")
@@ -424,6 +421,7 @@ func (s *Server) Serve(src Source) (*Report, error) {
 // Finish. The machine clock and profiler persist across sessions.
 func (s *Server) Begin() {
 	s.rep = &Report{Model: s.setup.W.Name, Design: s.cfg.Design}
+	s.b.rep = s.rep
 	s.sinceResched = 0
 }
 
@@ -469,10 +467,9 @@ func (s *Server) Finish() *Report {
 
 // step is the serving loop shared by StepTo (bounded by horizon) and Drain
 // (draining ignores the horizon: no more arrivals can ever be routed here).
+// The clock advances through idleTo, so batches in flight on the stream
+// window overlap the idle interval.
 func (s *Server) step(horizon int64, draining bool) error {
-	if s.pipelined() {
-		return s.pipeStep(horizon, draining)
-	}
 	m := s.setup.M
 	for {
 		now := int64(m.Now())
@@ -488,12 +485,16 @@ func (s *Server) step(horizon int64, draining bool) error {
 		if len(s.pending) > 0 && (draining || s.pending[0].Arrival <= horizon) {
 			nextArr = s.pending[0].Arrival
 		}
-		if len(s.queue) == 0 {
+		if s.b.Len() == 0 {
 			if nextArr >= 0 {
 				s.idleTo(nextArr)
 				continue
 			}
-			if draining || now >= horizon {
+			if draining {
+				// No arrivals left anywhere: run the tail of the pipeline out.
+				return s.drainInflight(true)
+			}
+			if now >= horizon {
 				return nil
 			}
 			// Idle up to the horizon (stopping at fault boundaries so
@@ -501,12 +502,9 @@ func (s *Server) step(horizon int64, draining bool) error {
 			s.idleTo(horizon)
 			continue
 		}
-		// Dual batching policy: fire when the batch-size cap is reached or
-		// when the head request's queue-wait deadline expires, whichever
-		// comes first. Until then, idle forward and keep admitting.
-		fireAt := s.queue[0].Arrival + s.cfg.MaxWaitCycles
-		full := s.queuedSamples >= s.cfg.MaxBatch || s.queue[0].Routing != nil
-		if !full && now < fireAt {
+		if !s.b.Ready(now) {
+			// Until the batch is due, idle forward and keep admitting.
+			fireAt := s.b.WaitDeadline()
 			if nextArr >= 0 && nextArr < fireAt {
 				s.idleTo(nextArr)
 				continue
@@ -532,7 +530,7 @@ func (s *Server) step(horizon int64, draining bool) error {
 			// routed here and belong in this batch. Defer the fire.
 			return nil
 		}
-		if err := s.fireBatch(int64(m.Now())); err != nil {
+		if err := s.fire(int64(m.Now())); err != nil {
 			return err
 		}
 	}
@@ -543,7 +541,7 @@ func (s *Server) step(horizon int64, draining bool) error {
 func (s *Server) admitPending(now int64) {
 	i := 0
 	for i < len(s.pending) && s.pending[i].Arrival <= now {
-		s.admit(s.pending[i])
+		s.b.Admit(s.pending[i])
 		i++
 	}
 	if i > 0 {
@@ -557,7 +555,7 @@ func (s *Server) Now() int64 { return int64(s.setup.M.Now()) }
 // QueuedSamples returns the backlog visible to a router: admitted queue
 // samples plus enqueued-but-unadmitted pending samples.
 func (s *Server) QueuedSamples() int {
-	n := s.queuedSamples
+	n := s.b.QueuedSamples()
 	for _, req := range s.pending {
 		if req.Samples > 0 {
 			n += req.Samples
@@ -569,7 +567,7 @@ func (s *Server) QueuedSamples() int {
 }
 
 // HasWork reports whether any request is still queued or pending.
-func (s *Server) HasWork() bool { return len(s.queue) > 0 || len(s.pending) > 0 }
+func (s *Server) HasWork() bool { return s.b.Len() > 0 || len(s.pending) > 0 }
 
 // Busy returns how many cycles of in-flight batch execution remain past the
 // given instant (the machine clock overshoots a step horizon exactly when a
@@ -595,141 +593,21 @@ func (s *Server) Keyer() *plancache.Keyer { return s.keyer }
 // replica fails: the backlog re-routes to survivors, with the queue time
 // already accrued charged into their eventual latency.
 func (s *Server) EvictQueued() []Request {
-	// Pipelined mode: batches already executing complete and record their
+	// Batches in flight on the stream window complete and record their
 	// outcomes first — eviction hands back the *backlog*, not work the
 	// machine (and profiler) has already absorbed. Should the stream stall
 	// (a machine deadlock), the affected requests can only be shed.
 	if err := s.drainInflight(false); err != nil {
-		for _, e := range s.inflight {
-			for _, req := range e.reqs {
+		for _, f := range s.b.inflight {
+			for _, req := range f.reqs {
 				s.rep.record(RequestResult{ID: req.ID, Arrival: req.Arrival, Outcome: Shed})
 			}
 		}
-		s.inflight = nil
+		s.b.inflight, s.inflight = nil, nil
 	}
-	out := make([]Request, 0, len(s.queue)+len(s.pending))
-	out = append(out, s.queue...)
-	out = append(out, s.pending...)
-	s.queue = nil
+	out := append(s.b.Evict(), s.pending...)
 	s.pending = nil
-	s.queuedSamples = 0
-	if s.rec.Enabled() {
-		s.rec.Counter(s.serveTrack, "serve", "queue_depth", int64(s.setup.M.Now()), 0)
-	}
 	return out
-}
-
-func (s *Server) admit(req Request) {
-	if req.Samples <= 0 {
-		req.Samples = 1
-		if req.Routing != nil {
-			if ups := s.setup.W.Graph.UnitsPerSample; ups > 0 && req.Units > ups {
-				req.Samples = req.Units / ups
-			}
-		}
-	}
-	if s.queuedSamples+req.Samples > s.cfg.QueueCapSamples {
-		s.rep.record(RequestResult{ID: req.ID, Arrival: req.Arrival, Outcome: Shed})
-		if s.rec.Enabled() {
-			s.rec.Instant(s.serveTrack, "serve", "shed", int64(s.setup.M.Now()),
-				telemetry.I("request", int64(req.ID)), telemetry.S("reason", "queue-full"))
-		}
-		return
-	}
-	s.queue = append(s.queue, req)
-	s.queuedSamples += req.Samples
-	if s.rec.Enabled() {
-		s.rec.Counter(s.serveTrack, "serve", "queue_depth", int64(s.setup.M.Now()), int64(s.queuedSamples))
-	}
-}
-
-func (s *Server) popHead() Request {
-	req := s.queue[0]
-	s.queue = s.queue[1:]
-	s.queuedSamples -= req.Samples
-	return req
-}
-
-// fireBatch forms one batch from the queue head, executes it on the machine,
-// records outcomes, and runs the drift check.
-func (s *Server) fireBatch(now int64) error {
-	// Shed queued requests whose SLO has already expired: executing them
-	// cannot meet the deadline, and they would drag fresh requests past
-	// theirs.
-	for len(s.queue) > 0 && s.cfg.SLOCycles > 0 && s.queue[0].Arrival+s.cfg.SLOCycles <= now {
-		req := s.popHead()
-		s.rep.record(RequestResult{ID: req.ID, Arrival: req.Arrival, Outcome: Shed})
-		if s.rec.Enabled() {
-			s.rec.Instant(s.serveTrack, "serve", "shed", now,
-				telemetry.I("request", int64(req.ID)), telemetry.S("reason", "slo-expired"))
-		}
-	}
-	if len(s.queue) == 0 {
-		return nil
-	}
-	headWait := now - s.queue[0].Arrival
-	w := s.setup.W
-	var batch []Request
-	var units int
-	var b workload.Batch
-	if s.queue[0].Routing != nil {
-		// Replayed request: its routing is fixed, it is its own batch.
-		req := s.popHead()
-		batch = []Request{req}
-		b = workload.Batch{Index: s.rep.Batches, Units: req.Units, Routing: req.Routing, Density: req.Density}
-	} else {
-		samples := 0
-		for len(s.queue) > 0 && s.queue[0].Routing == nil {
-			if len(batch) > 0 && samples+s.queue[0].Samples > s.cfg.MaxBatch {
-				break
-			}
-			req := s.popHead()
-			samples += req.Samples
-			batch = append(batch, req)
-		}
-		units = samples * w.Graph.UnitsPerSample
-		// Routing is decided at batch-formation time for the batch's actual
-		// size, by the workload's (drifting) generator.
-		b = workload.Batch{Index: s.rep.Batches, Units: units, Routing: w.Gen.Next(s.setup.Src, units)}
-		// The density dyn-value is drawn at batch-formation time like the
-		// routing: one density per batch, from the workload's drifting walk.
-		if dg, ok := w.Gen.(workload.DensityGen); ok {
-			b.Density = dg.NextDensity(s.setup.Src)
-		}
-	}
-	if err := s.setup.M.Run([]workload.Batch{b}); err != nil {
-		return err
-	}
-	done := int64(s.setup.M.Now())
-	for _, req := range batch {
-		out := Served
-		if s.cfg.SLOCycles > 0 && done > req.Arrival+s.cfg.SLOCycles {
-			out = DeadlineMissed
-			if s.rec.Enabled() {
-				s.rec.Instant(s.serveTrack, "serve", "deadline-miss", done,
-					telemetry.I("request", int64(req.ID)),
-					telemetry.I("late", done-req.Arrival-s.cfg.SLOCycles))
-			}
-		}
-		s.rep.record(RequestResult{ID: req.ID, Arrival: req.Arrival, Done: done, Outcome: out})
-	}
-	if s.rec.Enabled() {
-		// The batch's serve-side span: formation through completion, with the
-		// head request's queue wait (the dual batching policy's second
-		// trigger) and the batch's composition as args. The machine records
-		// the matching execution span on its own batches track.
-		s.rec.Span(s.serveTrack, "serve", "batch", now, done,
-			telemetry.I("requests", int64(len(batch))),
-			telemetry.I("units", int64(b.Units)),
-			telemetry.I("queue_wait", headWait))
-		s.rec.Counter(s.serveTrack, "serve", "queue_depth", done, int64(s.queuedSamples))
-	}
-	s.rep.Batches++
-	s.sinceResched++
-	if s.cfg.Reschedule && s.rep.Batches%s.cfg.CheckEvery == 0 {
-		return s.maybeReschedule()
-	}
-	return nil
 }
 
 // maybeReschedule re-plans when the live profile has drifted past the
@@ -739,7 +617,7 @@ func (s *Server) fireBatch(now int64) error {
 // lands on the machine clock, exactly like the periodic reconfiguration of
 // the offline runner.
 func (s *Server) maybeReschedule() error {
-	share, active, density, div := s.det.evaluate()
+	share, active, density, div := s.det.Evaluate()
 	if div > s.rep.MaxDivergence {
 		s.rep.MaxDivergence = div
 	}
@@ -798,9 +676,8 @@ func (s *Server) maybeReschedule() error {
 // drift reference rebases on the profile the new plan was built from.
 // Returns the swap's reconfiguration cycles.
 func (s *Server) replan(track telemetry.TrackID, trackName string) (int64, error) {
-	// A plan swap needs a drained pipeline (LoadPlan's contract). The legacy
-	// loop satisfies this trivially; the pipelined loop retires its in-flight
-	// batches here, outcomes recorded in submission order.
+	// A plan swap needs a drained pipeline (LoadPlan's contract): in-flight
+	// batches retire here, outcomes recorded in submission order.
 	if err := s.drainInflight(false); err != nil {
 		return 0, err
 	}

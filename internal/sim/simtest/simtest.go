@@ -12,8 +12,13 @@ package simtest
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -115,4 +120,67 @@ func window(b []byte, i int) string {
 		end = len(b)
 	}
 	return fmt.Sprintf("...%q...", b[start:end])
+}
+
+// GoldenDigests pins named artifact sets across commits: it renders one
+// SHA-256 digest per artifact ("<scenario> <artifact> <hex>", absent artifacts
+// as "-") and compares the lines against the golden file at path, rewriting
+// the file instead when update is set. Within-commit comparisons (Diff) catch
+// nondeterminism; a golden digest catches a refactor that shifts bytes. A
+// mismatch names the scenario and the artifact that moved.
+func GoldenDigests(t testing.TB, path string, update bool, runs map[string]Artifacts) {
+	t.Helper()
+	names := make([]string, 0, len(runs))
+	for name := range runs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var got strings.Builder
+	for _, name := range names {
+		a := runs[name]
+		for _, art := range []struct {
+			kind string
+			b    []byte
+		}{{"outcomes", a.Outcomes}, {"snapshot", a.Snapshot}, {"trace", a.Trace}} {
+			d := "-"
+			if art.b != nil {
+				d = fmt.Sprintf("%x", sha256.Sum256(art.b))
+			}
+			fmt.Fprintf(&got, "%s %s %s\n", name, art.kind, d)
+		}
+	}
+	if update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("simtest: missing golden digests (run with -update to create): %v", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if f := strings.Fields(line); len(f) == 3 {
+			want[f[0]+" "+f[1]] = f[2]
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(got.String()), "\n") {
+		f := strings.Fields(line)
+		key := f[0] + " " + f[1]
+		w, ok := want[key]
+		switch {
+		case !ok:
+			t.Errorf("simtest: scenario %s: %s has no golden digest (regenerate with -update)", f[0], f[1])
+		case w != f[2]:
+			t.Errorf("simtest: scenario %s: %s digest differs from golden\n got: %s\nwant: %s", f[0], f[1], f[2], w)
+		}
+		delete(want, key)
+	}
+	for key := range want {
+		t.Errorf("simtest: golden digest %q has no scenario producing it", key)
+	}
 }

@@ -1,6 +1,8 @@
 package simtest
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -52,4 +54,33 @@ func TestRenderAndTraceBytesCanonical(t *testing.T) {
 		t.Fatal("traced run rendered empty")
 	}
 	Diff(t, "trace self-compare", Artifacts{Trace: got}, Artifacts{Trace: got})
+}
+
+// errRecorder captures the failures a helper reports instead of failing the
+// enclosing test.
+type errRecorder struct {
+	testing.TB
+	errs []string
+}
+
+func (r *errRecorder) Helper() {}
+func (r *errRecorder) Errorf(format string, args ...any) {
+	r.errs = append(r.errs, fmt.Sprintf(format, args...))
+}
+func (r *errRecorder) Fatalf(format string, args ...any) { r.Errorf(format, args...) }
+
+// TestGoldenDigestsNamesTheArtifact checks the cross-commit pin: an update
+// writes digests that a rerun matches, and a changed artifact is reported by
+// scenario and artifact name.
+func TestGoldenDigestsNamesTheArtifact(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "golden.txt")
+	runs := map[string]Artifacts{"a": {Outcomes: []byte("x"), Trace: []byte("t")}}
+	GoldenDigests(t, path, true, runs)
+	GoldenDigests(t, path, false, runs)
+
+	rec := &errRecorder{TB: t}
+	GoldenDigests(rec, path, false, map[string]Artifacts{"a": {Outcomes: []byte("x"), Trace: []byte("u")}})
+	if len(rec.errs) != 1 || !strings.Contains(rec.errs[0], "scenario a: trace digest differs") {
+		t.Fatalf("changed trace not named: %q", rec.errs)
+	}
 }
