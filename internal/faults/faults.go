@@ -182,20 +182,36 @@ func (c Capability) Degraded() bool {
 	return !c.Failed.Empty() || c.NoC < 1 || c.HBM < 1
 }
 
-// Apply returns cfg with the capability folded in: the fault mask installed
-// and the bandwidth derates set. Schedules computed from the result plan
-// over the surviving tiles at the degraded bandwidths.
+// Apply returns cfg with the capability composed onto it: the failed masks
+// ORed and the bandwidth derates multiplied, a derate or factor of 0 (or 1)
+// meaning healthy on either side. Schedules computed from the result plan
+// over the surviving tiles at the degraded bandwidths. On a pristine config
+// this installs the capability as is; on a config that already carries a
+// mask or a derate — a multi-tenant partition and its HBM share — it yields
+// the partition's view of the chip-level capability.
 func (c Capability) Apply(cfg hw.Config) hw.Config {
-	cfg.FailedTiles = c.Failed
-	cfg.NoCDerate = c.NoC
-	cfg.HBMDerate = c.HBM
-	if cfg.NoCDerate >= 1 {
-		cfg.NoCDerate = 0 // zero value = healthy, keeps pristine configs comparable
-	}
-	if cfg.HBMDerate >= 1 {
-		cfg.HBMDerate = 0
-	}
+	cfg.FailedTiles = cfg.FailedTiles.Or(c.Failed)
+	cfg.NoCDerate = compose(cfg.NoCDerate, c.NoC)
+	cfg.HBMDerate = compose(cfg.HBMDerate, c.HBM)
 	return cfg
+}
+
+// compose multiplies two bandwidth factors, reading 0 (and anything at or
+// above 1) as healthy, and returns 0 for a healthy product so pristine
+// configs stay comparable.
+func compose(derate, factor float64) float64 {
+	f := healthyOne(derate) * healthyOne(factor)
+	if f >= 1 {
+		return 0
+	}
+	return f
+}
+
+func healthyOne(f float64) float64 {
+	if f <= 0 || f >= 1 {
+		return 1
+	}
+	return f
 }
 
 // State folds a schedule into the capability timeline. It is a pure function

@@ -198,6 +198,19 @@ func TestCapabilityApply(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("applied config invalid: %v", err)
 	}
+	// A config that already carries failed tiles and an HBM derate (a tenant
+	// partition at its bandwidth share): Apply keeps both, ORs the masks and
+	// multiplies the derates.
+	part := cfg
+	part.FailedTiles = hw.NewTileMask(2, 3)
+	part.HBMDerate = 0.5
+	got = Capability{Failed: hw.NewTileMask(0, 1), NoC: 0.5, HBM: 0.5}.Apply(part)
+	if got.FailedTiles != hw.NewTileMask(0, 1, 2, 3) || got.NoCDerate != 0.5 || got.HBMDerate != 0.25 {
+		t.Fatalf("composed Apply gave failed=%v noc=%v hbm=%v", got.FailedTiles, got.NoCDerate, got.HBMDerate)
+	}
+	if Healthy().Apply(part) != part {
+		t.Fatalf("healthy capability changed a partitioned config")
+	}
 }
 
 // TestRandomSchedulesValid: every generated chaos schedule must be valid for

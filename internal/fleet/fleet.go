@@ -95,22 +95,17 @@ func (c *Config) defaults() {
 	if c.RerouteDelayCycles <= 0 {
 		c.RerouteDelayCycles = 50_000
 	}
-	maxBatch := c.Base.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = c.Base.RC.Batch
-	}
+	// Thresholds scale with the replicas' own defaulted batch and queue caps.
+	base := c.Base
+	base.Defaults()
 	if c.AffinitySpillSamples <= 0 {
-		cap := c.Base.QueueCapSamples
-		if cap <= 0 {
-			cap = 8 * maxBatch
-		}
-		c.AffinitySpillSamples = cap * 3 / 4
+		c.AffinitySpillSamples = base.QueueCapSamples * 3 / 4
 	}
 	if c.ScaleUpDepth <= 0 {
-		c.ScaleUpDepth = 2 * float64(maxBatch)
+		c.ScaleUpDepth = 2 * float64(base.MaxBatch)
 	}
 	if c.ScaleDownDepth <= 0 {
-		c.ScaleDownDepth = 0.25 * float64(maxBatch)
+		c.ScaleDownDepth = 0.25 * float64(base.MaxBatch)
 	}
 	if c.ScaleWindow <= 0 {
 		c.ScaleWindow = 32

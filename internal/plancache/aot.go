@@ -18,7 +18,12 @@ import (
 // solve. Synthetic profiles are fed to a scratch profiler over cloned
 // frequency tables; the live graph and profiler are left untouched.
 
-// AOTConfig parameterizes Precompute.
+// AOTConfig parameterizes Precompute: the profile lattice walked at the
+// base config, and which degraded variants of the base config are solved at
+// the base profile. Every variant derives from the base config passed to
+// Precompute, so a serving layer that precomputes at its scope config —
+// a tenant's partition mask and HBM share — gets exactly the configs its
+// runtime re-plans will key on.
 type AOTConfig struct {
 	// TiltLevels are the interpolation weights walked from the base profile
 	// toward each branch's simplex corner (default 0.35 and 0.7).
@@ -34,15 +39,13 @@ type AOTConfig struct {
 	// the graph's units per sample).
 	BatchUnits int
 	// Faults optionally contributes the schedule's degraded configurations:
-	// every distinct capability the schedule will produce is solved at the
-	// base profile. Capabilities are applied to the base config exactly the
-	// way the serving layer's live-hardware derivation applies them.
+	// every distinct capability the schedule will produce is composed onto
+	// the base config with faults.Capability.Apply — exactly how the serving
+	// layer derives its live hardware — and solved at the base profile. A
+	// base config that already carries a partition mask and an HBM share (a
+	// multi-tenant tenant's scope) therefore yields that tenant's fault
+	// windows.
 	Faults *faults.Schedule
-	// ExtraConfigs lists additional hardware variants to pre-solve at the
-	// base profile — callers whose runtime composes capabilities differently
-	// (the multi-tenant layer folds partition masks and HBM shares in) pass
-	// their own effective configs here.
-	ExtraConfigs []hw.Config
 	// SingleTileLoss additionally solves every single-tile-failure variant
 	// of the base config (one solve per live tile — thorough, but the
 	// expensive option).
@@ -171,9 +174,6 @@ func (c *Cache) degradedConfigs(cfg hw.Config, ao AOTConfig) []hw.Config {
 			dc.FailedTiles = cfg.FailedTiles.Or(hw.NewTileMask(t))
 			add(dc)
 		}
-	}
-	for _, dc := range ao.ExtraConfigs {
-		add(dc)
 	}
 	return out
 }

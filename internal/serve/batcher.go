@@ -56,7 +56,7 @@ type formed struct {
 // defaulted as New defaults them, records every request outcome into rep,
 // and traces onto the "serve" track of the machine's recorder.
 func NewBatcher(setup *core.Setup, rep *Report, cfg Config) *Batcher {
-	cfg.defaults()
+	cfg.Defaults()
 	return &Batcher{
 		MaxBatch:        cfg.MaxBatch,
 		MaxWaitCycles:   cfg.MaxWaitCycles,

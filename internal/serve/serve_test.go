@@ -325,7 +325,7 @@ func TestServeDeterministic(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{RC: core.DefaultRunConfig(), SLOCycles: 4000}
-	c.defaults()
+	c.Defaults()
 	if c.Design != core.DesignAdyna {
 		t.Errorf("default design %q", c.Design)
 	}

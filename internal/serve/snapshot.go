@@ -51,8 +51,8 @@ func (s *Server) Snapshot() Snapshot {
 	} else {
 		g["costmodel_cache_hit_rate"] = 0
 	}
-	if s.pcache != nil {
-		st := s.pcache.Stats()
+	if s.rp.cache != nil {
+		st := s.rp.cache.Stats()
 		c["plan_cache_exact_hits"] = st.ExactHits
 		c["plan_cache_nearest_hits"] = st.NearestHits
 		c["plan_cache_misses"] = st.Misses
