@@ -14,6 +14,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/experiments"
 	"repro/internal/hw"
+	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/plancache"
@@ -287,6 +288,26 @@ func BenchmarkScheduleReplan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sched.Schedule(cfg, w.Graph, sched.Adyna(), prof); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScheduleReplanWarm is BenchmarkScheduleReplan through an
+// already-warm compile memo — what a plan-cache miss pays once the cache's
+// kernels.Memo has seen the model's kernel shapes: segmentation, allocation
+// and sampling still run, every blocking search is a memo hit. The ratio to
+// BenchmarkScheduleReplan is the share of a solve the memo removes.
+func BenchmarkScheduleReplanWarm(b *testing.B) {
+	cfg, w, prof := replanInputs(b)
+	memo := kernels.NewMemo()
+	if _, err := sched.ScheduleWith(memo, cfg, w.Graph, sched.Adyna(), prof); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.ScheduleWith(memo, cfg, w.Graph, sched.Adyna(), prof); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -92,7 +92,7 @@ func (c *Cache) Precompute(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof
 		if _, ok := c.peek(k); ok {
 			continue
 		}
-		plan, err := sched.Schedule(dcfg, g, pol, prof)
+		plan, err := c.Solve(dcfg, g, pol, prof)
 		if err != nil {
 			continue
 		}
@@ -253,7 +253,7 @@ func (c *Cache) precomputePoint(cfg hw.Config, g *graph.Graph, pol sched.Policy,
 	if _, ok := c.peek(k); ok {
 		return false
 	}
-	plan, err := sched.Schedule(cfg, g, pol, sp)
+	plan, err := c.Solve(cfg, g, pol, sp)
 	if err != nil {
 		return false
 	}

@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hw"
+	"repro/internal/kernels"
 	"repro/internal/profiler"
 	"repro/internal/sched"
 )
@@ -347,10 +348,17 @@ type bucket struct {
 // Cache is the plan-variant cache. Safe for concurrent use: every public
 // method holds an internal mutex (GetOrSchedule keeps it across the fresh
 // solve, so concurrent misses on the same key never race a double solve).
+//
+// Every solve the cache runs — GetOrSchedule misses, Precompute points, Solve
+// — compiles its kernels through one shape-keyed kernels.Memo the cache owns,
+// so a kernel shape is compiled once per cache however many plans, scopes,
+// tenants or fleet replicas need it. The memo has its own lock; Solve does
+// not take the cache mutex.
 type Cache struct {
 	mu      sync.Mutex
 	keyer   *Keyer
 	cfg     Config
+	memo    *kernels.Memo
 	buckets map[scope]*bucket
 	order   []*entry // insertion order, for eviction
 
@@ -361,7 +369,14 @@ type Cache struct {
 // New builds an empty cache over the given keyer.
 func New(keyer *Keyer, cfg Config) *Cache {
 	cfg.defaults()
-	return &Cache{keyer: keyer, cfg: cfg, buckets: map[scope]*bucket{}}
+	return &Cache{keyer: keyer, cfg: cfg, memo: kernels.NewMemo(), buckets: map[scope]*bucket{}}
+}
+
+// Solve runs sched.Schedule through the cache's compile memo, without looking
+// up or storing a plan: for a caller that must solve at a scope and decides
+// itself whether and how to store the result.
+func (c *Cache) Solve(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *profiler.Profiler) (*sched.Plan, error) {
+	return sched.ScheduleWith(c.memo, cfg, g, pol, prof)
 }
 
 // Keyer returns the keyer the cache was built over (shared by per-tenant
@@ -537,15 +552,11 @@ func (c *Cache) GetOrScheduleFor(origin string, cfg hw.Config, g *graph.Graph, p
 			// on refresh). Cloning every fleet hit hands each replica a
 			// private object. The non-fleet paths (origin "" everywhere)
 			// keep the stored pointer, bit-for-bit what they were.
-			cp, err := e.plan.Clone(g)
-			if err != nil {
-				return nil, kind, fmt.Errorf("plancache: cloning shared plan: %w", err)
-			}
-			return cp, kind, nil
+			return e.plan.Clone(), kind, nil
 		}
 		return e.plan, kind, nil
 	}
-	plan, err := sched.Schedule(cfg, g, pol, prof)
+	plan, err := c.Solve(cfg, g, pol, prof)
 	if err != nil {
 		return nil, Miss, fmt.Errorf("plancache: fresh solve: %w", err)
 	}

@@ -190,6 +190,65 @@ func TestEvictionPrefersOnlineEntries(t *testing.T) {
 // TestPrecomputeCoversFaultWindowsAndLattice checks AOT bring-up: the fault
 // schedule's degraded configs and the branch-tilt lattice are all pre-solved,
 // the first excursion hits, and the live profile/frequency state is untouched.
+// TestSecondSolveRunsNoBlockingSearch pins the cache-owned compile memo: a
+// second solve of the same inputs through one cache runs zero
+// costmodel.Optimize sweeps and yields the plan a one-shot sched.Schedule
+// yields. A degraded config (fault mask) reuses the healthy chip's shapes and
+// still matches its own one-shot solve.
+func TestSecondSolveRunsNoBlockingSearch(t *testing.T) {
+	w, prof := warmWorkload(t, "moe", 12)
+	cfg := hw.Default()
+	pol := sched.Adyna()
+	c := New(NewKeyer(w.Graph, 0), Config{})
+
+	if _, err := c.Solve(cfg, w.Graph, pol, prof); err != nil {
+		t.Fatal(err)
+	}
+	hits1, sweeps1 := c.memo.Stats()
+	if sweeps1 == 0 {
+		t.Fatal("first solve ran no blocking searches")
+	}
+	// Solve stores nothing, so this is a cache miss that solves again.
+	plan, kind, err := c.GetOrSchedule(cfg, w.Graph, pol, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != Miss {
+		t.Fatalf("lookup after Solve returned %v, want miss", kind)
+	}
+	hits2, sweeps2 := c.memo.Stats()
+	if sweeps2 != sweeps1 {
+		t.Fatalf("second solve ran %d blocking searches, want 0", sweeps2-sweeps1)
+	}
+	if hits2 == hits1 {
+		t.Fatal("second solve did not go through the memo")
+	}
+	fresh, err := sched.Schedule(cfg, w.Graph, pol, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodePlan(t, plan), encodePlan(t, fresh)) {
+		t.Fatal("memoized solve differs from a one-shot solve")
+	}
+
+	degraded := cfg
+	degraded.FailedTiles = hw.RangeTileMask(0, 4)
+	dplan, err := c.Solve(degraded, w.Graph, pol, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dfresh, err := sched.Schedule(degraded, w.Graph, pol, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodePlan(t, dplan), encodePlan(t, dfresh)) {
+		t.Fatal("memoized degraded solve differs from a one-shot solve")
+	}
+	if hits3, _ := c.memo.Stats(); hits3 == hits2 {
+		t.Fatal("degraded solve shared no shapes with the healthy chip")
+	}
+}
+
 func TestPrecomputeCoversFaultWindowsAndLattice(t *testing.T) {
 	w, prof := warmWorkload(t, "moe", 12)
 	cfg := hw.Default()

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/costmodel"
 	"repro/internal/graph"
@@ -16,13 +18,15 @@ type Plan struct {
 	Policy   Policy
 	Segments []*Segment
 
-	// cache memoizes cost-model evaluations and blocking searches for this
-	// plan's (config, graph) scope. The simulator re-costs every entity for
-	// every batch through EvaluateEntity; within one plan those calls repeat
-	// a small set of keys. The cache is plan-scoped on purpose: every
-	// simulation of the parallel experiment runner schedules its own plan,
-	// so the memo table is only ever touched from one goroutine and needs no
-	// lock. Lazily created (deserialized plans start without one).
+	// cache memoizes cost-model evaluations for this plan's (config, graph)
+	// scope. The simulator re-costs every entity for every batch through
+	// EvaluateEntity; within one plan those calls repeat a small set of
+	// keys. The cache is plan-scoped on purpose: every simulation of the
+	// parallel experiment runner schedules its own plan, so the memo table is
+	// only ever touched from one goroutine and needs no lock. Created on the
+	// first evaluation: a freshly solved, decoded or cloned plan starts
+	// without one. (Kernel compilation is memoized separately, by shape, in
+	// the kernels.Memo the plan was solved through.)
 	cache *costmodel.Cache
 }
 
@@ -43,6 +47,34 @@ func (p *Plan) CacheStats() (hits, misses int64) {
 		return 0, 0
 	}
 	return p.cache.Stats()
+}
+
+// Clone returns a deep copy of the plan sharing no mutable state with the
+// receiver — in particular not the plan-scoped eval cache or the full-kernel
+// dense stores, which are deliberately not safe for concurrent use — so two
+// machines can run the original and the clone concurrently. The compiled
+// kernel sets are immutable once built and are shared; the copy starts with
+// an empty eval cache and empty dense stores, like a freshly decoded plan.
+func (p *Plan) Clone() *Plan {
+	cp := &Plan{Policy: p.Policy, Segments: make([]*Segment, len(p.Segments))}
+	for i, seg := range p.Segments {
+		s := *seg
+		s.Ops = slices.Clone(seg.Ops)
+		s.Plans = make(map[graph.OpID]*OpPlan, len(seg.Plans))
+		for lead, op := range seg.Plans {
+			o := *op
+			o.Fused = slices.Clone(op.Fused)
+			o.Values = slices.Clone(op.Values)
+			o.Options = make([]*AllocOption, len(op.Options))
+			for k, opt := range op.Options {
+				o.Options[k] = &AllocOption{Tiles: opt.Tiles, set: opt.set}
+			}
+			s.Plans[lead] = &o
+		}
+		s.EntityOf = maps.Clone(seg.EntityOf)
+		cp.Segments[i] = &s
+	}
+	return cp
 }
 
 // Segment is one resident group of consecutive operators (Section II-B).
@@ -103,7 +135,9 @@ type AllocOption struct {
 }
 
 // Kernel returns the kernel the dispatcher would select for the actual dyn
-// value v, compiling on demand under the full-kernel policy.
+// value v, compiling on demand under the full-kernel policy. The dense store
+// memoizes per value; the option fixes the tile count, so that is the whole
+// compile key.
 func (o *AllocOption) Kernel(cfg hw.Config, op *graph.Op, v int) (*kernels.Kernel, error) {
 	if o.set != nil {
 		return o.set.Select(v)
@@ -115,29 +149,6 @@ func (o *AllocOption) Kernel(cfg hw.Config, op *graph.Op, v int) (*kernels.Kerne
 		return k, nil
 	}
 	k, err := kernels.Generate(cfg, op, v, o.Tiles)
-	if err != nil {
-		return nil, err
-	}
-	if o.dense == nil {
-		o.dense = map[int]*kernels.Kernel{}
-	}
-	o.dense[v] = k
-	return k, nil
-}
-
-// kernel is Kernel on the plan's memoized hot path: on-demand compilations
-// under the full-kernel policy reuse the cache's blocking searches.
-func (o *AllocOption) kernel(c *costmodel.Cache, op *graph.Op, v int) (*kernels.Kernel, error) {
-	if o.set != nil {
-		return o.set.Select(v)
-	}
-	if v < 1 {
-		v = 1
-	}
-	if k, ok := o.dense[v]; ok {
-		return k, nil
-	}
-	k, err := kernels.Compile(c, op, v, o.Tiles)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +287,7 @@ func (p *Plan) EvaluateEntityDensity(cfg hw.Config, g *graph.Graph, op *OpPlan, 
 	lead := g.Op(op.Lead)
 	var total costmodel.Eval
 	if lead.Kind.IsCompute() && lead.Space[0] > 0 {
-		k, err := opt.kernel(c, lead, v)
+		k, err := opt.Kernel(cfg, lead, v)
 		if err != nil {
 			return costmodel.Eval{}, err
 		}

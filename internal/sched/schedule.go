@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/kernels"
@@ -23,8 +22,18 @@ const actBufferUnits = 2
 
 // Schedule produces a complete plan for g under pol. prof may be nil (no
 // runtime statistics yet); expectations then come from the graph's frequency
-// tables, which default to the worst case when empty.
+// tables, which default to the worst case when empty. Kernels are compiled
+// through a fresh memo, which still collapses the repeated shapes of one
+// solve (MoE experts, repeated layers); callers that solve repeatedly use
+// ScheduleWith to keep one memo warm across solves.
 func Schedule(cfg hw.Config, g *graph.Graph, pol Policy, prof *profiler.Profiler) (*Plan, error) {
+	return ScheduleWith(kernels.NewMemo(), cfg, g, pol, prof)
+}
+
+// ScheduleWith is Schedule compiling every kernel store through memo. The
+// plan is identical to Schedule's whatever the memo already holds; only the
+// blocking searches it skips differ. memo may be shared by concurrent solves.
+func ScheduleWith(memo *kernels.Memo, cfg hw.Config, g *graph.Graph, pol Policy, prof *profiler.Profiler) (*Plan, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
@@ -36,13 +45,9 @@ func Schedule(cfg hw.Config, g *graph.Graph, pol Policy, prof *profiler.Profiler
 		return nil, err
 	}
 	segs := segment(cfg, g, ents, order)
-	// One memo table spans scheduling and the plan's lifetime on the
-	// machine: blocking searches done while compiling kernel stores are
-	// reused by the simulator's per-batch evaluations.
-	cache := costmodel.NewCache(cfg)
-	plan := &Plan{Policy: pol, cache: cache}
+	plan := &Plan{Policy: pol}
 	for i, se := range segs {
-		s, err := planSegment(cfg, g, pol, prof, cache, i, se)
+		s, err := planSegment(cfg, g, pol, prof, memo, i, se)
 		if err != nil {
 			return nil, err
 		}
@@ -169,7 +174,7 @@ func entityBytes(g *graph.Graph, e *entity) float64 {
 
 // planSegment allocates tiles, applies grouping and sharing, and compiles
 // kernel stores for one segment.
-func planSegment(cfg hw.Config, g *graph.Graph, pol Policy, prof *profiler.Profiler, cache *costmodel.Cache, index int, leads []graph.OpID) (*Segment, error) {
+func planSegment(cfg hw.Config, g *graph.Graph, pol Policy, prof *profiler.Profiler, memo *kernels.Memo, index int, leads []graph.OpID) (*Segment, error) {
 	ents, order, err := buildEntities(g)
 	if err != nil {
 		return nil, err
@@ -259,7 +264,7 @@ func planSegment(cfg hw.Config, g *graph.Graph, pol Policy, prof *profiler.Profi
 
 	// Compile kernel stores for every option of every entity.
 	for _, lead := range leads {
-		if err := compileEntity(cfg, g, pol, cache, seg.Plans[lead]); err != nil {
+		if err := compileEntity(cfg, g, pol, memo, seg.Plans[lead]); err != nil {
 			return nil, err
 		}
 	}
@@ -589,7 +594,7 @@ func optionTiles(ts ...int) []*AllocOption {
 }
 
 // compileEntity fills the entity's options with kernel stores.
-func compileEntity(cfg hw.Config, g *graph.Graph, pol Policy, cache *costmodel.Cache, p *OpPlan) error {
+func compileEntity(cfg hw.Config, g *graph.Graph, pol Policy, memo *kernels.Memo, p *OpPlan) error {
 	if len(p.Options) == 0 {
 		p.Options = optionTiles(p.BaseTiles)
 	}
@@ -602,7 +607,7 @@ func compileEntity(cfg hw.Config, g *graph.Graph, pol Policy, cache *costmodel.C
 	}
 	p.Values = kernelValues(cfg, pol, lead, len(p.Options), p.Partner != graph.None)
 	for _, o := range p.Options {
-		set, err := kernels.CompileSet(cache, lead, p.Values, o.Tiles)
+		set, err := memo.CompileSet(cfg, lead, p.Values, o.Tiles)
 		if err != nil {
 			return fmt.Errorf("sched: entity %s: %w", lead.Name, err)
 		}

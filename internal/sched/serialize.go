@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -107,24 +106,6 @@ func (p *Plan) Encode(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// Clone returns a deep copy of the plan bound to the same graph, sharing no
-// mutable state with the receiver — in particular not the plan-scoped eval
-// cache, which is deliberately not safe for concurrent use. Two machines can
-// run the original and the clone concurrently. Implemented as an
-// Encode/DecodePlan round trip, which the serialization tests pin as a byte
-// fixed point, so the clone is observationally identical to the original.
-func (p *Plan) Clone(g *graph.Graph) (*Plan, error) {
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		return nil, fmt.Errorf("sched: cloning plan: %w", err)
-	}
-	cp, err := DecodePlan(&buf, g)
-	if err != nil {
-		return nil, fmt.Errorf("sched: cloning plan: %w", err)
-	}
-	return cp, nil
 }
 
 // DecodePlan reads a plan previously written by Encode, rebinding it to the

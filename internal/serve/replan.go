@@ -68,7 +68,7 @@ func NewReplanner(setup *core.Setup, rep *Report, cfg Config, scope hw.Config) *
 	// bring-up config would never be matchable.
 	if scope == cfg.RC.HW {
 		r.cache.PutFor(r.origin, scope, g, setup.Policy, prof, setup.Plan)
-	} else if plan, err := sched.Schedule(scope, g, setup.Policy, prof); err == nil {
+	} else if plan, err := r.cache.Solve(scope, g, setup.Policy, prof); err == nil {
 		r.cache.PutFor(r.origin, scope, g, setup.Policy, prof, plan)
 	}
 	if cfg.PlanCacheAOT {
