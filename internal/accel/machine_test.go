@@ -1,7 +1,9 @@
 package accel
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -186,6 +188,25 @@ func TestDeterministicSimulation(t *testing.T) {
 	b := runModel(t, "pabee", sched.Adyna(), 16, 3, 0, Options{})
 	if a.Cycles != b.Cycles || a.MACs != b.MACs || a.HBMBytes != b.HBMBytes {
 		t.Fatalf("simulation not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestRunLeavesNoProcessGoroutines checks that every simulation process
+// finishes with its run: after Machine.Run over several batches (with a
+// re-plan between runs) drains cleanly, the goroutine count is back at its
+// baseline, so no process is leaked, parked forever or kept in a pool.
+func TestRunLeavesNoProcessGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	runModel(t, "skipnet", sched.Adyna(), 16, 6, 3, Options{})
+	// A finished goroutine leaves the count a moment after it hands
+	// control back, so allow the runtime a short settling period.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after the run drained, %d before", n, base)
 	}
 }
 

@@ -17,9 +17,10 @@ type NoC struct {
 	cfg    hw.Config
 	inject []*sim.Server // per-tile injection port
 	eject  []*sim.Server // per-tile ejection port
-	// links holds the unidirectional torus links, created lazily as X-Y
-	// routed transfers touch them (see links.go).
-	links map[linkID]*sim.Server
+	// links holds the unidirectional torus links, indexed 4*from+dir and
+	// created lazily as X-Y routed transfers touch them (see links.go); an
+	// untouched link is nil.
+	links []*sim.Server
 	// baseRate is the healthy per-port bandwidth; rate is the current
 	// (possibly derated) one, applied to lazily created links too.
 	baseRate, rate float64
@@ -37,6 +38,7 @@ type NoC struct {
 func New(env *sim.Env, cfg hw.Config) *NoC {
 	n := &NoC{env: env, cfg: cfg, baseRate: cfg.NoCBytesPerCycle()}
 	n.rate = n.baseRate
+	n.links = make([]*sim.Server, 4*cfg.Tiles())
 	for i := 0; i < cfg.Tiles(); i++ {
 		n.inject = append(n.inject, sim.NewServer(env, n.rate))
 		n.eject = append(n.eject, sim.NewServer(env, n.rate))
@@ -65,7 +67,9 @@ func (n *NoC) Derate(factor float64) {
 		n.eject[i].SetRate(n.rate)
 	}
 	for _, l := range n.links {
-		l.SetRate(n.rate)
+		if l != nil {
+			l.SetRate(n.rate)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/hw"
@@ -189,4 +190,106 @@ func TestLinkUtilizationAccounting(t *testing.T) {
 	if st.TotalByteLinks != 2*1920 {
 		t.Fatalf("byte-links = %d, want %d", st.TotalByteLinks, 2*1920)
 	}
+}
+
+// pathLinks converts a tile path into the unidirectional links it occupies,
+// classifying each hop by its neighbour (plus before minus, X before Y). It is
+// the reference the allocation-free route walk is checked against.
+func (n *NoC) pathLinks(path []int) []linkID {
+	out := make([]linkID, 0, len(path)-1)
+	for i := 0; i+1 < len(path); i++ {
+		fx, fy := n.coord(path[i])
+		tx, ty := n.coord(path[i+1])
+		var dir int
+		switch {
+		case tx == (fx+1)%n.cfg.TilesX && ty == fy:
+			dir = dirXPlus
+		case tx == (fx-1+n.cfg.TilesX)%n.cfg.TilesX && ty == fy:
+			dir = dirXMinus
+		case ty == (fy+1)%n.cfg.TilesY && tx == fx:
+			dir = dirYPlus
+		default:
+			dir = dirYMinus
+		}
+		out = append(out, linkID{from: path[i], dir: dir})
+	}
+	return out
+}
+
+// walkLinks collects every link an in-place route walk visits.
+func walkLinks(n *NoC, src, dst int) ([]linkID, int) {
+	var out []linkID
+	w := n.walk(src, dst)
+	for l, ok := w.next(); ok; l, ok = w.next() {
+		out = append(out, l)
+	}
+	return out, w.hops
+}
+
+func TestWalkMatchesPathLinks(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	// 1xN and Nx1 rings, rings of two (whose +1 and -1 neighbours
+	// coincide), odd and even sizes with ties, and the default 12x12 torus.
+	for _, dims := range [][2]int{{1, 1}, {1, 7}, {6, 1}, {2, 2}, {2, 5}, {3, 2},
+		{3, 3}, {4, 4}, {5, 3}, {8, 6}, {12, 12}} {
+		cfg := hw.Default()
+		cfg.TilesX, cfg.TilesY = dims[0], dims[1]
+		n := New(sim.NewEnv(), cfg)
+		tiles := cfg.Tiles()
+		check := func(src, dst int) {
+			want := n.pathLinks(n.Path(src, dst))
+			got, hops := walkLinks(n, src, dst)
+			if len(got) != len(want) || hops != len(want) || hops != n.Hops(src, dst) {
+				t.Fatalf("%dx%d %d->%d: walk %v (%d hops), pathLinks %v, Hops %d",
+					dims[0], dims[1], src, dst, got, hops, want, n.Hops(src, dst))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%dx%d %d->%d: walk %v, pathLinks %v", dims[0], dims[1], src, dst, got, want)
+				}
+			}
+		}
+		if tiles <= 64 {
+			for src := 0; src < tiles; src++ {
+				for dst := 0; dst < tiles; dst++ {
+					check(src, dst)
+				}
+			}
+			continue
+		}
+		for i := 0; i < 2000; i++ {
+			check(rng.Intn(tiles), rng.Intn(tiles))
+		}
+		// Both wraparound corners of the grid.
+		check(0, tiles-1)
+		check(tiles-1, 0)
+	}
+}
+
+// BenchmarkNoCTransfer measures one routed payload transfer (injection,
+// link reservations along the X-Y route, ejection) on the default torus.
+// Every link the timed loop uses is created in a warm-up run first, so the
+// steady state should report 0 allocs/op.
+func BenchmarkNoCTransfer(b *testing.B) {
+	env := sim.NewEnv()
+	n := New(env, hw.Default())
+	tiles := hw.Default().Tiles()
+	// pair(i) depends only on i mod tiles, so the warm-up covers every route.
+	pair := func(i int) (int, int) { return (i * 7) % tiles, (i*31 + 5) % tiles }
+	env.Go("warm-up", func(p *sim.Proc) {
+		for i := 0; i < tiles; i++ {
+			src, dst := pair(i)
+			n.Transfer(p, src, dst, 4096, 4)
+		}
+	})
+	env.Run()
+	env.Go("xfer", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			src, dst := pair(i)
+			n.Transfer(p, src, dst, 4096, 4)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
 }

@@ -2,68 +2,83 @@ package sim
 
 import "fmt"
 
-// Proc is a simulation process: a goroutine that advances simulated time by
+// Proc is a simulation process: a coroutine that advances simulated time by
 // calling Wait and blocks on synchronization primitives. Exactly one process
 // (or event callback) runs at a time, so process bodies never race with each
-// other and the simulation stays deterministic.
+// other and the simulation stays deterministic. How control passes between
+// the engine and a process (the handoff) is build-specific: a coroutine
+// switch (process_coro.go), or a channel pair under the race detector
+// (process_race.go).
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{} // engine -> process: continue
-	yield  chan struct{} // process -> engine: parked or done
-	dead   bool
+	env  *Env
+	name string
+	dead bool
+	// parked is set while the process is suspended in park (Wait or a
+	// primitive), for the deadlock diagnostic Env.BlockedProcs.
+	parked bool
+	// prevLive and nextLive link the process into its Env's list of live
+	// processes, which BlockedProcs walks.
+	prevLive, nextLive *Proc
 	// runFn is the method value p.run, materialized once at creation: every
 	// Wait and every primitive wake-up schedules it, and building a fresh
 	// method value per wake would allocate a closure each time.
 	runFn func()
+	handoff
 }
 
 // Go starts fn as a new simulation process. The process begins at the current
 // simulated time, before any further events fire. The name is used in
 // deadlock diagnostics only.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		env:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{env: e, name: name}
 	p.runFn = p.run
 	e.nprocs++
-	go func() {
-		<-p.resume
-		fn(p)
-		p.dead = true
-		e.nprocs--
-		p.yield <- struct{}{}
-	}()
+	p.nextLive = e.live
+	if e.live != nil {
+		e.live.prevLive = p
+	}
+	e.live = p
+	p.start(fn)
 	// Kick the process from an event so that it runs under engine control.
 	e.Schedule(0, p.runFn)
 	return p
 }
 
-// run transfers control to the process goroutine and blocks until it parks
-// again (in Wait / a primitive) or terminates.
+// exit retires a process whose body has returned: it leaves the live list
+// and never runs again.
+func (p *Proc) exit() {
+	p.dead = true
+	e := p.env
+	e.nprocs--
+	if p.prevLive != nil {
+		p.prevLive.nextLive = p.nextLive
+	} else {
+		e.live = p.nextLive
+	}
+	if p.nextLive != nil {
+		p.nextLive.prevLive = p.prevLive
+	}
+	p.prevLive, p.nextLive = nil, nil
+}
+
+// run transfers control to the process and returns once it parks again (in
+// Wait / a primitive) or terminates. A panic in the process body is
+// re-raised here, on the engine's side, so it reaches the caller of Env.Run.
 func (p *Proc) run() {
 	if p.dead {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	p.resume()
 }
 
 // park suspends the process and returns control to the engine. wake must have
 // been arranged (an event or a primitive callback that calls p.run).
-// Parked processes are tracked so a drained engine can report who is still
-// blocked — the deadlock diagnostic surfaced by Env.BlockedProcs.
+// While parked the process is flagged, so a drained engine can report who is
+// still blocked — the deadlock diagnostic surfaced by Env.BlockedProcs.
 func (p *Proc) park() {
-	p.env.parked[p] = struct{}{}
-	p.yield <- struct{}{}
-	// Control returns only via resume; every map access below this point is
-	// ordered after the engine's wake-up send, keeping all parked-map
-	// operations inside the single-threaded handoff chain.
-	<-p.resume
-	delete(p.env.parked, p)
+	p.parked = true
+	p.suspend()
+	p.parked = false
 }
 
 // Env returns the environment the process runs in.

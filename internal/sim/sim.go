@@ -1,8 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // It plays the role SimPy plays in the paper's evaluation: an event queue, a
-// virtual clock, goroutine-backed processes, and synchronization primitives
-// (signals, stores, bandwidth servers) from which the accelerator model in
+// virtual clock, processes that run as coroutines (SimPy's generator
+// processes: a process switch is a direct coroutine handoff, not a trip
+// through the Go scheduler), and synchronization primitives (signals,
+// stores, bandwidth servers) from which the accelerator model in
 // internal/accel is built.
 //
 // Time is measured in clock cycles of the simulated accelerator (1 GHz in the
@@ -104,12 +106,12 @@ type Env struct {
 	now    Time
 	queue  eventQueue
 	seq    int64
-	nprocs int                // live processes, for deadlock detection
-	parked map[*Proc]struct{} // processes blocked in a primitive
+	nprocs int   // live processes, for deadlock detection
+	live   *Proc // head of the live-process list (Go links, exit unlinks)
 }
 
 // NewEnv returns a fresh simulation environment at time zero.
-func NewEnv() *Env { return &Env{parked: map[*Proc]struct{}{}} }
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current simulated time.
 func (e *Env) Now() Time { return e.now }
@@ -176,9 +178,11 @@ func (e *Env) Live() int { return e.nprocs }
 // an aborted run): the returned names say who was stuck and make the bug
 // findable.
 func (e *Env) BlockedProcs() []string {
-	out := make([]string, 0, len(e.parked))
-	for p := range e.parked {
-		out = append(out, p.name)
+	out := []string{}
+	for p := e.live; p != nil; p = p.nextLive {
+		if p.parked {
+			out = append(out, p.name)
+		}
 	}
 	sort.Strings(out)
 	return out

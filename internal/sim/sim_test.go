@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -418,6 +419,39 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	})
 	b.ResetTimer()
 	env.Run()
+}
+
+// BenchmarkProcessSpawn measures a process's whole lifetime: one Go plus a
+// run to its exit. Under the coroutine handoff, creation is the largest
+// per-process cost.
+func BenchmarkProcessSpawn(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv()
+	body := func(p *Proc) {}
+	for i := 0; i < b.N; i++ {
+		env.Go("spawn", body)
+		env.Run()
+	}
+}
+
+func TestProcessPanicReachesRunCaller(t *testing.T) {
+	env := NewEnv()
+	env.Go("bad", func(p *Proc) {
+		p.Wait(2)
+		p.Wait(-1)
+	})
+	var got interface{}
+	func() {
+		defer func() { got = recover() }()
+		env.Run()
+	}()
+	msg, ok := got.(string)
+	if !ok || !strings.Contains(msg, "process bad waits negative -1") {
+		t.Fatalf("Run recovered %v, want the process's negative-wait panic", got)
+	}
+	if env.Now() != 2 {
+		t.Fatalf("panic surfaced at t=%d, want 2", env.Now())
+	}
 }
 
 func TestBlockedProcsDiagnostic(t *testing.T) {
