@@ -15,11 +15,10 @@
 // are bit-identical to a sequential run; see internal/runner).
 //
 // Experiments: table3, table4, fig6, fig9, fig10, fig11, fig12, fig13,
-// reconfig, budget, sampling, hybrid, dse, latency, simpar, all.
+// reconfig, budget, sampling, hybrid, dse, latency, pipeline, all.
 //
-// simpar measures the parallel engine: the same fleet scenario stepped
-// sequentially and concurrently (byte-identity checked, wall-clock timed)
-// and a single-server burst with and without batch pipelining.
+// pipeline serves a single-server burst with and without batch pipelining
+// and compares the virtual-time makespans.
 package main
 
 import (
@@ -38,7 +37,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (table3,table4,fig6,fig9,fig10,fig11,fig12,fig13,reconfig,budget,sampling,hybrid,dse,latency,simpar,all)")
+		exp      = flag.String("exp", "all", "experiment to run (table3,table4,fig6,fig9,fig10,fig11,fig12,fig13,reconfig,budget,sampling,hybrid,dse,latency,pipeline,all)")
 		quick    = flag.Bool("quick", false, "reduced scale for a fast pass")
 		batches  = flag.Int("batches", 0, "override measured batches")
 		batch    = flag.Int("batch", 0, "override batch size (samples)")
@@ -231,8 +230,8 @@ func run(exp string, opt experiments.Options) error {
 		}
 		fmt.Println(t)
 	}
-	if want("simpar") {
-		t, err := experiments.Simpar(opt, runtime.NumCPU(), 4)
+	if want("pipeline") {
+		t, err := experiments.Pipeline(opt, 4)
 		if err != nil {
 			return err
 		}

@@ -20,7 +20,6 @@ type fleetOpts struct {
 	classes  int
 	scaleMin int
 	walkSD   float64
-	workers  int
 }
 
 func (o fleetOpts) enabled() bool { return o.n > 0 || o.replicas != "" }
@@ -47,7 +46,6 @@ func fleetConfig(base serve.Config, o fleetOpts) (fleet.Config, error) {
 		Replicas: specs,
 		Policy:   pol,
 		ScaleMin: o.scaleMin,
-		Workers:  o.workers,
 	}
 	if o.faultArg != "" {
 		fs, err := loadFaults(o.faultArg)

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/serve"
+	"repro/internal/sim/simtest"
 )
 
 // chaosSchedule builds a random replica-level fault schedule from a seed:
@@ -75,4 +77,59 @@ func TestFleetChaosConservation(t *testing.T) {
 			t.Errorf("seed %d: schedule with %d events caused no replica failure", seed, len(sched.Events))
 		}
 	}
+}
+
+// TestDeratedReplicaUnderChipFaults covers a heterogeneous fleet whose
+// replicas also carry a chip-level fault schedule: one replica is built with
+// half its NoC and HBM bandwidth, and every replica sees an HBM brownout
+// followed by a permanent tile loss. The faults compose with the static
+// derate on that replica, which must still re-plan for them; no request may
+// be lost, duplicated or completed before it arrived; and the run must be
+// reproducible byte for byte.
+func TestDeratedReplicaUnderChipFaults(t *testing.T) {
+	const derated = "slow"
+	base := fleetBase("skipnet")
+	base.RC.Warmup = 4
+	fs, err := faults.ParseSpec("hbm@1e6:factor=0.5,until=3e6;fail@4e6:tiles=0-17")
+	if err != nil {
+		t.Fatalf("faults.ParseSpec: %v", err)
+	}
+	base.Faults = fs
+	specs, err := ParseSpec("fast-a,fast-b,"+derated+":noc=0.5:hbm=0.5", base.RC.HW)
+	if err != nil {
+		t.Fatalf("ParseSpec: %v", err)
+	}
+	cfg := Config{Base: base, Replicas: specs, Policy: PolicyRR}
+	mix := MixConfig{
+		Model: "skipnet", Classes: 2, Requests: 120, Samples: 4,
+		MeanGapCycles: 60_000, Seed: 5, MixWalkSD: 0.1,
+	}
+
+	src, err := NewMixSource(mix)
+	if err != nil {
+		t.Fatalf("NewMixSource: %v", err)
+	}
+	rep := mustFleetServe(t, cfg, src)
+	checkConservation(t, rep, mix.Requests)
+	for _, rr := range rep.Replicas {
+		for _, o := range rr.Report.Outcomes {
+			if o.Outcome == serve.Shed {
+				if o.Done != 0 {
+					t.Errorf("%s: shed request %d has completion cycle %d", rr.Name, o.ID, o.Done)
+				}
+				continue
+			}
+			if o.Done < o.Arrival {
+				t.Errorf("%s: request %d done at %d before its arrival at %d", rr.Name, o.ID, o.Done, o.Arrival)
+			}
+		}
+		t.Logf("%s: served=%d missed=%d shed=%d fault-events=%d health-reschedules=%d",
+			rr.Name, rr.Report.Served, rr.Report.Missed, rr.Report.Shed, rr.Report.FaultEvents, rr.Report.HealthReschedules)
+		if rr.Name == derated && rr.Report.HealthReschedules == 0 {
+			t.Errorf("derated replica %s never re-planned for the chip faults (%d fault events)",
+				rr.Name, rr.Report.FaultEvents)
+		}
+	}
+
+	simtest.Diff(t, "second run", fleetArtifacts(t, cfg, mix, true), fleetArtifacts(t, cfg, mix, true))
 }

@@ -31,7 +31,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/plancache"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -49,13 +48,7 @@ type Config struct {
 	// Policy selects the routing policy.
 	Policy Policy
 
-	// Workers selects how many replicas advance concurrently between router
-	// events (the -simpar flag). Values <= 1 keep the legacy sequential
-	// sweep. Above 1 the fleet steps replicas through a sim.Cluster window:
-	// each replica is one conservative-PDES domain, and shared-plan-cache
-	// traffic is serialized in canonical replica order by the cluster's
-	// gate, so outcomes, snapshots, and traces stay byte-identical to the
-	// sequential sweep for every worker count and GOMAXPROCS.
+	// Deprecated: ignored; replicas always step sequentially (DESIGN.md "Parallel engine").
 	Workers int
 
 	// ReplicaFaults optionally schedules replica-level fault domains: tile
@@ -133,36 +126,12 @@ type reroute struct {
 	req serve.Request
 }
 
-// repStepper adapts one replica to sim.Stepper so a cluster window can
-// advance it. Replicas hold no cluster-visible event queue — the router
-// computes every horizon itself — so NextEvent always reports idle and the
-// fleet drives explicit windows via Cluster.Step. Down replicas stay frozen
-// exactly as in the sequential sweep.
-type repStepper struct {
-	r        *replica
-	draining bool // one drain window replaces the sequential drain sweep
-}
-
-func (s *repStepper) NextEvent() (sim.Time, bool) { return 0, false }
-
-func (s *repStepper) StepTo(h sim.Time) error {
-	if s.r.down {
-		return nil
-	}
-	if s.draining {
-		return s.r.srv.Drain()
-	}
-	return s.r.srv.StepTo(int64(h))
-}
-
 // Fleet is K replicas behind one router, advancing on a shared virtual
 // timeline. Not safe for concurrent use: like the single-machine stack, the
 // router is a deterministic single-threaded discrete-event loop.
 type Fleet struct {
 	cfg          Config
 	reps         []*replica
-	cluster      *sim.Cluster  // parallel replica stepping; nil when Workers <= 1
-	steppers     []*repStepper // cluster domain adapters, canonical order
 	keyer        *plancache.Keyer
 	cache        *plancache.Cache // shared across replicas; nil when disabled
 	health       *faults.State    // replica-level fault tracker; nil without one
@@ -242,9 +211,6 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Base.RC.TraceName != "" {
 		tracePrefix = cfg.Base.RC.TraceName
 	}
-	if cfg.Workers > 1 {
-		f.cluster = sim.NewCluster(cfg.Workers)
-	}
 	for _, spec := range specs {
 		scfg := cfg.Base
 		scfg.RC.HW = spec.HW
@@ -258,17 +224,6 @@ func New(cfg Config) (*Fleet, error) {
 		if f.cache != nil {
 			scfg.SharedPlanCache = f.cache
 			scfg.PlanCacheOrigin = spec.Name
-		}
-		if f.cluster != nil {
-			// Register the domain before bring-up so the gate exists for the
-			// server config; bring-up itself runs outside any window, where
-			// the gate is a no-op.
-			st := &repStepper{r: rep}
-			id := f.cluster.Add(spec.Name, st)
-			f.steppers = append(f.steppers, st)
-			if f.cache != nil {
-				scfg.PlanCacheGate = f.cluster.Gate(id)
-			}
 		}
 		srv, err := serve.New(scfg)
 		if err != nil {
@@ -412,15 +367,9 @@ func (f *Fleet) hasWork() bool {
 	return false
 }
 
-// stepAll advances every live replica to time t — sequentially in canonical
-// order, or as one concurrent cluster window when Workers > 1 (Cluster.Step
-// repeats same-time windows exactly like repeated sequential StepTo calls,
-// so the two paths admit and fire identically). Down replicas stay frozen:
-// their clocks resume (and catch up) on repair.
+// stepAll advances every live replica to time t in canonical order. Down
+// replicas stay frozen: their clocks resume (and catch up) on repair.
 func (f *Fleet) stepAll(t int64) error {
-	if f.cluster != nil {
-		return f.cluster.Step(sim.Time(t))
-	}
 	for _, r := range f.reps {
 		if r.down {
 			continue
@@ -432,25 +381,14 @@ func (f *Fleet) stepAll(t int64) error {
 	return nil
 }
 
-// drainAll serves out every live replica's backlog: sequentially, or as one
-// concurrent drain window when Workers > 1.
+// drainAll serves out every live replica's backlog in canonical order.
 func (f *Fleet) drainAll() error {
-	if f.cluster != nil {
-		for _, st := range f.steppers {
-			st.draining = true
-		}
-		err := f.cluster.Step(f.cluster.Barrier())
-		for _, st := range f.steppers {
-			st.draining = false
-		}
-		return err
-	}
 	for _, r := range f.reps {
 		if r.down {
 			continue
 		}
 		if err := r.srv.Drain(); err != nil {
-			return err
+			return fmt.Errorf("fleet: replica %s: %w", r.name, err)
 		}
 	}
 	return nil

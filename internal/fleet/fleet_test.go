@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/graph"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
@@ -381,5 +383,24 @@ func TestFleetConfigValidation(t *testing.T) {
 	scale := Config{Base: base, Replicas: HomogeneousSpecs(2, base.RC.HW), ScaleMin: 2}
 	if _, err := New(scale); err == nil {
 		t.Error("ScaleMin == len(replicas) accepted")
+	}
+}
+
+// TestDrainErrorNamesReplica checks that a replica failing while the fleet
+// drains is named in the error, as a failure while stepping is: a pre-routed
+// request with no switch decisions cannot execute, and the error must say
+// which replica held it.
+func TestDrainErrorNamesReplica(t *testing.T) {
+	base := fleetBase("skipnet")
+	f := mustFleet(t, Config{Base: base, Replicas: HomogeneousSpecs(2, base.RC.HW), Policy: PolicyRR})
+	for _, r := range f.reps {
+		r.srv.Begin()
+	}
+	bad := f.reps[1]
+	bad.srv.Enqueue(serve.Request{ID: 0, Arrival: 0, Samples: 1, Units: 1, Routing: graph.BatchRouting{}})
+	err := f.drainAll()
+	want := "fleet: replica " + bad.name + ": graph: no routing for switch"
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("drainAll error = %v, want prefix %q", err, want)
 	}
 }

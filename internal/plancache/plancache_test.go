@@ -338,7 +338,9 @@ func TestExportImportRoundTrip(t *testing.T) {
 // TestWarmLookupBeatsFreshSolve is the cache's reason to exist: a warm
 // exact-key lookup must be at least 10x faster than re-running the scheduling
 // pipeline (in practice it is orders of magnitude faster — one hash of the
-// profile vs a full solve).
+// profile vs a full solve). Solves and lookups alternate round by round and
+// each side keeps its fastest round, so a burst of host load during one
+// side's rounds cannot fake a regression.
 func TestWarmLookupBeatsFreshSolve(t *testing.T) {
 	w, prof := warmWorkload(t, "moe", 12)
 	cfg := hw.Default()
@@ -348,25 +350,28 @@ func TestWarmLookupBeatsFreshSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 10
-	start := time.Now()
+	var solve, lookup time.Duration
 	for i := 0; i < rounds; i++ {
+		start := time.Now()
 		if _, err := sched.Schedule(cfg, w.Graph, pol, prof); err != nil {
 			t.Fatal(err)
 		}
-	}
-	solve := time.Since(start)
-	start = time.Now()
-	for i := 0; i < rounds; i++ {
+		if d := time.Since(start); i == 0 || d < solve {
+			solve = d
+		}
+		start = time.Now()
 		if _, kind, err := c.GetOrSchedule(cfg, w.Graph, pol, prof); err != nil || kind != HitExact {
 			t.Fatalf("warm lookup: kind=%v err=%v", kind, err)
 		}
+		if d := time.Since(start); i == 0 || d < lookup {
+			lookup = d
+		}
 	}
-	lookup := time.Since(start)
 	if lookup <= 0 {
 		lookup = 1
 	}
 	ratio := float64(solve) / float64(lookup)
-	t.Logf("fresh solve %v vs warm lookup %v per %d re-plans: %.0fx", solve, lookup, rounds, ratio)
+	t.Logf("fastest of %d rounds: fresh solve %v vs warm lookup %v: %.0fx", rounds, solve, lookup, ratio)
 	if ratio < 10 {
 		t.Fatalf("warm lookup only %.1fx faster than a fresh solve, want >= 10x", ratio)
 	}

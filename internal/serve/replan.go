@@ -97,8 +97,6 @@ func (r *Replanner) Replan(target hw.Config, track telemetry.TrackID, trackName 
 	var err error
 	if r.cache != nil {
 		if r.gate != nil {
-			// Parallel fleet windows: wait for canonically-earlier replicas
-			// before touching the shared cache (see Config.PlanCacheGate).
 			r.gate()
 		}
 		plan, kind, err = r.cache.GetOrScheduleFor(r.origin, target, g, r.setup.Policy, m.Profiler())

@@ -113,13 +113,9 @@ type Config struct {
 	// fleet): hits on entries another origin solved count in the cache's
 	// SharedHits statistic. Empty outside fleets.
 	PlanCacheOrigin string
-	// PlanCacheGate, when non-nil, is invoked once before every shared-plan-
-	// cache access made while the server is being stepped. A parallel fleet
-	// (sim.Cluster) installs the cluster's canonical-order gate here so that
-	// replica i's cache traffic waits for replicas 0..i-1 to finish the
-	// current window — reproducing exactly the cache visibility order of
-	// sequential replica stepping, which keeps parallel outcomes
-	// byte-identical to workers=1. Nil (every non-fleet path) is a no-op.
+	// PlanCacheGate, when non-nil, is invoked before each plan-cache access
+	// a re-plan makes (private or shared cache): a hook for callers that
+	// observe re-plans, e.g. to time them. Nil is a no-op.
 	PlanCacheGate func()
 	// PipelineDepth enables batch-pipelined serving (see pipeline.go): up to
 	// this many batches execute concurrently on the machine, batch k+1's

@@ -48,6 +48,29 @@ func TestRunUntilStopsAtHorizon(t *testing.T) {
 	}
 }
 
+// TestStepToLeavesHorizonPending pins the difference from RunUntil: an event
+// at exactly the horizon stays queued, and NextEvent reports it.
+func TestStepToLeavesHorizonPending(t *testing.T) {
+	env := NewEnv()
+	if _, ok := env.NextEvent(); ok {
+		t.Fatal("empty env reports a pending event")
+	}
+	fired := 0
+	env.Schedule(5, func() { fired++ })
+	env.Schedule(10, func() { fired++ })
+	env.StepTo(10)
+	if fired != 1 || env.Now() != 10 {
+		t.Fatalf("after StepTo(10): fired=%d now=%d, want 1 and 10", fired, env.Now())
+	}
+	if at, ok := env.NextEvent(); !ok || at != 10 {
+		t.Fatalf("NextEvent = %d,%v, want 10,true", at, ok)
+	}
+	env.StepTo(3) // a horizon in the past leaves the clock alone
+	if env.Now() != 10 {
+		t.Fatalf("StepTo into the past moved the clock to %d", env.Now())
+	}
+}
+
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
